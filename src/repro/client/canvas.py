@@ -48,7 +48,11 @@ class ClientCostModel:
     frame_setup_s: float = 0.020
 
     def communication_seconds(self, chunks: list[PayloadChunk]) -> float:
-        """Time to stream all chunks to the client."""
+        """Time to stream all chunks to the client.
+
+        Chunk sizes come from :attr:`PayloadChunk.byte_size`, the same count
+        a window answer reports as ``meta.total_bytes``.
+        """
         if not chunks:
             return self.request_latency_s
         total_bytes = sum(chunk.byte_size for chunk in chunks)

@@ -93,12 +93,13 @@ class ClientSimulator:
 
     def render(self, result: WindowQueryResult) -> RenderedFrame:
         """Simulate streaming + rendering of one window-query result."""
-        communication = self.cost_model.communication_seconds(result.chunks)
+        chunks = result.chunks
+        communication = self.cost_model.communication_seconds(chunks)
         rendering = self.cost_model.rendering_seconds(result.num_objects)
         return RenderedFrame(
             num_nodes=len(result.payload.nodes),
             num_edges=len(result.payload.edges),
-            num_chunks=len(result.chunks),
+            num_chunks=len(chunks),
             bytes_received=result.total_bytes,
             communication_seconds=communication,
             rendering_seconds=rendering,

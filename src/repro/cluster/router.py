@@ -1599,26 +1599,36 @@ def _header_deadline_seconds(headers: dict[str, str] | None) -> float | None:
         return None
 
 
-#: Session-response bodies past this size are not parsed for their cursor
-#: (a payload-carrying pan can be megabytes; the directory then keeps the
-#: previous replica, which costs a failed-over session at most one stale
-#: viewport — not worth a megabyte JSON parse on the router's event loop).
-_CURSOR_PARSE_LIMIT = 256 * 1024
+#: How a payload-carrying window answer starts: the worker writes ``meta``
+#: (which holds the cursor) before the payload; see ``docs/serving.md``.
+_META_PREFIX = b'{"meta": '
+
+#: Bytes after :data:`_META_PREFIX` handed to the decoder.  ``meta`` is a
+#: dozen scalars plus the cursor, far below this.
+_META_HEAD_BYTES = 4096
+
+_DECODER = json.JSONDecoder()
 
 
 def _extract_cursor(body: bytes) -> dict[str, object] | None:
-    """Pull the ``cursor`` object out of a worker session response, if cheap."""
-    if len(body) > _CURSOR_PARSE_LIMIT:
-        return None
+    """Pull the ``cursor`` object out of a worker session response.
+
+    A payload answer is never parsed: only its leading ``meta`` object is
+    decoded, from a bounded prefix, so the cursor is mirrored whatever the
+    payload's size.  Payload-free answers (``meta`` alone, keyword matches,
+    plain results) are small and are decoded whole.
+    """
     try:
-        decoded = json.loads(body)
+        if body.startswith(_META_PREFIX):
+            head = body[len(_META_PREFIX):len(_META_PREFIX) + _META_HEAD_BYTES]
+            decoded, _ = _DECODER.raw_decode(head.decode("utf-8", "replace"))
+        else:
+            decoded = json.loads(body)
     except ValueError:
         return None
     if not isinstance(decoded, dict):
         return None
     cursor = decoded.get("cursor")
-    if cursor is None and isinstance(decoded.get("meta"), dict):
-        cursor = decoded["meta"].get("cursor")
     return cursor if isinstance(cursor, dict) else None
 
 

@@ -62,7 +62,7 @@ def _payload_dict(result: WindowQueryResult) -> dict[str, object]:
         "nodes": payload.nodes,
         "edges": payload.edges,
         "num_objects": payload.num_objects,
-        "chunks": len(result.chunks),
+        "chunks": result.num_chunks,
         "timings_ms": {
             "db_query": result.db_query_seconds * 1000.0,
             "filter": result.filter_seconds * 1000.0,

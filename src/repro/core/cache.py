@@ -255,7 +255,6 @@ class CachingQueryManager:
         own ``fragments`` guard, captured before the rows were fetched.
         """
         from .json_builder import build_payload, table_fragments
-        from .streaming import stream_payload
 
         table = self.inner.database.table(layer)
         if fragments is None:
@@ -266,14 +265,13 @@ class CachingQueryManager:
             )
         started = time.perf_counter()
         payload = build_payload(rows, fragments=fragments)
-        chunks = list(stream_payload(payload, self.inner.client_config.chunk_size))
         json_seconds = time.perf_counter() - started
         return WindowQueryResult(
             layer=layer,
             window=window,
             rows=rows,
             payload=payload,
-            chunks=chunks,
+            chunk_size=self.inner.client_config.chunk_size,
             db_query_seconds=db_seconds,
             json_build_seconds=json_seconds,
             filter_seconds=filter_seconds,

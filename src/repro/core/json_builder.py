@@ -6,16 +6,19 @@ JSON objects that are sent to the client".  This module converts the rows
 returned by a window query into the node/edge JSON objects the (simulated)
 mxGraph client renders, deduplicating nodes that appear in several rows.
 
-Two paths exist:
+Every object is JSON-encoded exactly once, by :func:`row_fragments`:
 
 * the plain path (:func:`build_payload` with just ``rows``) builds fresh
-  dictionaries per call;
+  fragments per call;
 * the zero-copy path passes a *fragment source* — typically
   :func:`table_fragments` over a :class:`~repro.storage.table.LayerTable` —
   so the per-row node/edge dictionaries **and** their serialised JSON strings
-  are computed once per row and reused across queries.  The payload then
-  carries the pre-serialised fragments and :func:`payload_to_json`
-  concatenates them instead of re-encoding.
+  are computed once per row and reused across queries.
+
+Either way the payload carries one JSON string per object;
+:func:`payload_to_json` concatenates them and
+:func:`repro.core.streaming.stream_bytes` counts them, so no later layer
+re-encodes the answer.
 
 Payload dictionaries produced through the fragment cache are shared between
 queries; callers must treat them as immutable.
@@ -141,9 +144,10 @@ class GraphPayload:
     edges:
         One dictionary per edge row: ``{"source", "target", "label", "directed"}``.
     nodes_json / edges_json:
-        Pre-serialised JSON fragments parallel to ``nodes`` / ``edges``;
-        populated only by the zero-copy build path.  When complete,
-        :func:`payload_to_json` concatenates them instead of re-encoding.
+        JSON fragments parallel to ``nodes`` / ``edges`` (each exactly
+        ``json.dumps(obj, separators=(",", ":"))``), filled by
+        :func:`build_payload`.  The wire string and its size are derived from
+        these alone.
     """
 
     nodes: list[dict[str, object]] = field(default_factory=list)
@@ -176,43 +180,25 @@ def build_payload(
     ``fragments`` source is given — a per-row callable (see
     :func:`table_fragments`) or a table's ``fragment_cache`` dictionary — the
     cached per-row dictionaries and JSON strings are reused instead of
-    rebuilt.  Passing the dictionary avoids a Python call per row and is what
-    the query manager's hot path does.
+    rebuilt; without one, each row's fragments are built once for this call.
+    Passing the dictionary avoids a Python call per row and is what the query
+    manager's hot path does.
     """
     payload = GraphPayload()
     seen_nodes: set[int] = set()
-
-    if fragments is not None:
-        nodes = payload.nodes
-        edges = payload.edges
-        nodes_json = payload.nodes_json
-        edges_json = payload.edges_json
-        add_seen = seen_nodes.add
-        if isinstance(fragments, dict):
-            cache = fragments
-            cache_get = cache.get
-            for row in rows:
-                piece = cache_get(row.row_id)
-                if piece is None:
-                    piece = row_fragments(row)
-                    cache[row.row_id] = piece
-                node1_id = piece.node1_id
-                if node1_id not in seen_nodes:
-                    add_seen(node1_id)
-                    nodes.append(piece.node1_obj)
-                    nodes_json.append(piece.node1_json)
-                if piece.node_row:
-                    continue
-                node2_id = piece.node2_id
-                if node2_id not in seen_nodes:
-                    add_seen(node2_id)
-                    nodes.append(piece.node2_obj)
-                    nodes_json.append(piece.node2_json)
-                edges.append(piece.edge_obj)
-                edges_json.append(piece.edge_json)
-            return payload
+    nodes = payload.nodes
+    edges = payload.edges
+    nodes_json = payload.nodes_json
+    edges_json = payload.edges_json
+    add_seen = seen_nodes.add
+    if isinstance(fragments, dict):
+        cache = fragments
+        cache_get = cache.get
         for row in rows:
-            piece = fragments(row)
+            piece = cache_get(row.row_id)
+            if piece is None:
+                piece = row_fragments(row)
+                cache[row.row_id] = piece
             node1_id = piece.node1_id
             if node1_id not in seen_nodes:
                 add_seen(node1_id)
@@ -228,48 +214,34 @@ def build_payload(
             edges.append(piece.edge_obj)
             edges_json.append(piece.edge_json)
         return payload
-
+    if fragments is None:
+        fragments = row_fragments
     for row in rows:
-        start, end = row.endpoints()
-        if row.node1_id not in seen_nodes:
-            seen_nodes.add(row.node1_id)
-            payload.nodes.append({
-                "id": row.node1_id,
-                "label": row.node1_label,
-                "x": start.x,
-                "y": start.y,
-            })
-        if row.is_node_row():
+        piece = fragments(row)
+        node1_id = piece.node1_id
+        if node1_id not in seen_nodes:
+            add_seen(node1_id)
+            nodes.append(piece.node1_obj)
+            nodes_json.append(piece.node1_json)
+        if piece.node_row:
             continue
-        if row.node2_id not in seen_nodes:
-            seen_nodes.add(row.node2_id)
-            payload.nodes.append({
-                "id": row.node2_id,
-                "label": row.node2_label,
-                "x": end.x,
-                "y": end.y,
-            })
-        payload.edges.append({
-            "source": row.node1_id,
-            "target": row.node2_id,
-            "label": row.edge_label,
-            "directed": row.segment().directed,
-        })
+        node2_id = piece.node2_id
+        if node2_id not in seen_nodes:
+            add_seen(node2_id)
+            nodes.append(piece.node2_obj)
+            nodes_json.append(piece.node2_json)
+        edges.append(piece.edge_obj)
+        edges_json.append(piece.edge_json)
     return payload
 
 
 def payload_to_json(payload: GraphPayload) -> str:
     """Serialise the payload to a JSON string (what actually goes on the wire).
 
-    Payloads built through the fragment cache carry pre-serialised per-object
-    JSON; in that case the wire string is assembled by concatenation, which is
-    byte-identical to re-encoding the dictionaries.
+    The per-object fragments are concatenated, which is byte-identical to
+    ``json.dumps(payload.as_dict(), separators=(",", ":"))``.
     """
-    if len(payload.nodes_json) == len(payload.nodes) and len(
-        payload.edges_json
-    ) == len(payload.edges):
-        return (
-            '{"nodes":[' + ",".join(payload.nodes_json)
-            + '],"edges":[' + ",".join(payload.edges_json) + "]}"
-        )
-    return _dumps(payload.as_dict(), separators=_COMPACT)
+    return (
+        '{"nodes":[' + ",".join(payload.nodes_json)
+        + '],"edges":[' + ",".join(payload.edges_json) + "]}"
+    )

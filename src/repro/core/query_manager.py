@@ -27,7 +27,7 @@ from ..storage.database import GraphVizDatabase
 from ..storage.schema import EdgeRow
 from .filters import FilterSpec, apply_filters
 from .json_builder import GraphPayload, build_payload
-from .streaming import PayloadChunk, stream_payload
+from .streaming import PayloadChunk, chunk_count, stream_bytes, stream_payload
 from .viewport import Viewport
 
 __all__ = ["WindowQueryResult", "KeywordSearchResult", "QueryManager"]
@@ -45,8 +45,9 @@ class WindowQueryResult:
         The matching rows (after filtering).
     payload:
         The JSON-ready payload built from the rows.
-    chunks:
-        The payload split into streaming chunks.
+    chunk_size:
+        Objects per streamed chunk; :attr:`num_chunks`, :attr:`total_bytes`
+        and the lazily built :attr:`chunks` follow from it.
     db_query_seconds:
         Time spent evaluating the window query in the storage layer
         (Fig. 3 "DB Query Execution").
@@ -62,7 +63,7 @@ class WindowQueryResult:
     window: Rect
     rows: list[EdgeRow]
     payload: GraphPayload
-    chunks: list[PayloadChunk]
+    chunk_size: int
     db_query_seconds: float
     json_build_seconds: float
     filter_seconds: float = 0.0
@@ -78,9 +79,19 @@ class WindowQueryResult:
         return self.db_query_seconds + self.filter_seconds + self.json_build_seconds
 
     @property
+    def num_chunks(self) -> int:
+        """Number of chunks the payload is streamed in."""
+        return chunk_count(self.payload, self.chunk_size)
+
+    @property
     def total_bytes(self) -> int:
-        """Total bytes that will be streamed to the client."""
-        return sum(chunk.byte_size for chunk in self.chunks)
+        """Exact bytes of the chunked stream, counted from the JSON fragments."""
+        return stream_bytes(self.payload, self.chunk_size)
+
+    @property
+    def chunks(self) -> list[PayloadChunk]:
+        """The payload split into streaming chunks (built on demand)."""
+        return list(stream_payload(self.payload, self.chunk_size))
 
 
 @dataclass
@@ -164,7 +175,6 @@ class QueryManager:
 
         started = time.perf_counter()
         payload = build_payload(rows, fragments=fragments)
-        chunks = list(stream_payload(payload, self.client_config.chunk_size))
         json_seconds = time.perf_counter() - started
 
         return WindowQueryResult(
@@ -172,7 +182,7 @@ class QueryManager:
             window=window,
             rows=rows,
             payload=payload,
-            chunks=chunks,
+            chunk_size=self.client_config.chunk_size,
             db_query_seconds=db_seconds,
             json_build_seconds=json_seconds,
             filter_seconds=filter_seconds,

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from ..core.json_builder import build_payload
 from ..core.monitoring import ServiceMetrics
 from ..core.query_manager import QueryManager, WindowQueryResult
-from ..core.streaming import stream_payload
 from ..errors import ServiceError
 from ..obs import thread_op
 from ..spatial.geometry import Rect
@@ -203,14 +202,13 @@ def _execute_batch_inner(
     for window_key, rows in zip(order, rows_per_window):
         started = time.perf_counter()
         payload = build_payload(rows, fragments=fragments)
-        chunks = list(stream_payload(payload, chunk_size))
         json_seconds = time.perf_counter() - started
         results[window_key] = WindowQueryResult(
             layer=layer,
             window=unique[window_key],
             rows=rows,
             payload=payload,
-            chunks=chunks,
+            chunk_size=chunk_size,
             db_query_seconds=db_share,
             json_build_seconds=json_seconds,
             filter_seconds=0.0,

@@ -648,7 +648,7 @@ def _window_body(
         "layer": result.layer,
         "num_objects": result.num_objects,
         "num_rows": len(result.rows),
-        "num_chunks": len(result.chunks),
+        "num_chunks": result.num_chunks,
         "total_bytes": result.total_bytes,
         "db_query_seconds": result.db_query_seconds,
         "filter_seconds": result.filter_seconds,

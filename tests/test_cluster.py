@@ -27,7 +27,12 @@ from repro.cluster.hashing import (
 )
 from repro.cluster.replication import ReplicaJournalCopy, replica_journal_path
 from repro.cluster.resilience import CircuitBreaker, jittered_backoff
-from repro.cluster.router import ClusterRouter, ClusterRuntime, merge_summaries
+from repro.cluster.router import (
+    ClusterRouter,
+    ClusterRuntime,
+    _extract_cursor,
+    merge_summaries,
+)
 from repro.config import ClusterConfig, GraphVizDBConfig, ServiceConfig
 from repro.core.monitoring import ServiceMetrics
 from repro.errors import ClusterError, JournalError
@@ -782,6 +787,88 @@ class TestSessionCommandLevel404:
         status, body, _ = _get(port, f"/session/{session_id}/close")
         assert status == 200 and body["closed"] is True
         assert live_cluster.router.sessions.get(session_id) is None
+
+
+class TestSessionCursorMirror:
+    """The router mirrors the cursor of every session answer, whatever its size."""
+
+    CURSOR = {"dataset": "d", "layer": 1, "x": 12.5, "y": -3.0, "zoom": 2.0}
+
+    def test_meta_prefixed_payload_body(self):
+        meta = {"layer": 1, "num_objects": 2, "cursor": self.CURSOR}
+        body = (
+            b'{"meta": ' + json.dumps(meta).encode()
+            + b', "payload": {"nodes":[{"id":1,"label":"x","x":0,"y":0}],'
+            b'"edges":[]}}'
+        )
+        assert _extract_cursor(body) == self.CURSOR
+
+    def test_payload_is_never_parsed(self):
+        # Everything after ``meta`` is garbage: only the prefix is decoded.
+        meta = {"layer": 1, "cursor": self.CURSOR}
+        body = b'{"meta": ' + json.dumps(meta).encode() + b', "payload": [[[' * 1000
+        assert _extract_cursor(body) == self.CURSOR
+
+    def test_payload_free_session_body(self):
+        body = json.dumps({"layer": 1, "num_objects": 0, "cursor": self.CURSOR})
+        assert _extract_cursor(body.encode()) == self.CURSOR
+
+    def test_keyword_session_body(self):
+        body = json.dumps({
+            "keyword": "patent", "layer": 0, "num_matches": 1,
+            "matches": [{"id": 3, "label": "patent 3"}], "search_seconds": 0.001,
+            "cursor": self.CURSOR,
+        })
+        assert _extract_cursor(body.encode()) == self.CURSOR
+
+    @pytest.mark.parametrize("body", [
+        b"",
+        b"not json",
+        b"[1, 2]",
+        b'{"meta": {"layer": 1, "cursor": {"x": 1',  # truncated meta
+        b'{"meta": [1, 2], "payload": {}}',
+        b'{"layer": 1, "cursor": [1, 2]}',
+        b'{"result": true, "cursor": null}',
+        b'{"layer": 1, "num_objects": 3',  # truncated payload-free body
+    ])
+    def test_malformed_or_truncated_body(self, body):
+        assert _extract_cursor(body) is None
+
+    def test_pan_answer_above_256_kib_updates_the_cursor(
+        self, patent_result, tmp_path
+    ):
+        path = tmp_path / "big-a.db"
+        save_to_sqlite(patent_result.database, path)
+        config = _cluster_config(num_workers=1)
+        with ClusterRuntime({"big-a": str(path)}, config=config) as runtime:
+            port = runtime.port
+            # One node with a 300 KB label makes any answer showing it big.
+            status, ack, _ = _post(port, "/edit/add_node?dataset=big-a", {
+                "node_id": 880101, "label": "L" * 300_000,
+                "x": 105.0, "y": 105.0,
+            })
+            assert status == 200, ack
+            status, body, _ = _get(port, "/session/new?dataset=big-a&x=105&y=105")
+            assert status == 200
+            session_id = body["session_id"]
+
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                connection.request(
+                    "GET", f"/session/{session_id}/pan?dx=5&dy=0&payload=1"
+                )
+                response = connection.getresponse()
+                status, raw = response.status, response.read()
+            finally:
+                connection.close()
+            assert status == 200 and len(raw) > 256 * 1024
+            cursor = json.loads(raw)["meta"]["cursor"]
+            assert cursor["x"] != 105.0  # the pan moved the viewport
+
+            mirrored = runtime.router.sessions.get(session_id)
+            assert (mirrored.layer, mirrored.x, mirrored.y, mirrored.zoom) == (
+                cursor["layer"], cursor["x"], cursor["y"], cursor["zoom"]
+            )
 
 
 class TestStaleArchive:

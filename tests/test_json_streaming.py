@@ -5,13 +5,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.json_builder import build_payload, payload_to_json
-from repro.core.streaming import chunk_count, stream_payload
+from repro.core.json_builder import build_payload, payload_to_json, row_fragments
+from repro.core.streaming import chunk_count, stream_bytes, stream_payload
 from repro.graph.model import Graph
 from repro.layout.base import Layout
-from repro.spatial.geometry import Point
-from repro.storage.schema import rows_from_graph
+from repro.spatial.geometry import LineSegment, Point, encode_segment
+from repro.storage.schema import EdgeRow, rows_from_graph
 
 
 @pytest.fixture
@@ -97,3 +99,102 @@ class TestStreaming:
         assert parsed["chunk"] == 0
         assert chunk.byte_size == len(chunk.to_json().encode("utf-8"))
         assert chunk.byte_size > 0
+
+
+# ---------------------------------------------------------------------------
+# Exact stream size (property-based)
+
+_coords = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+# Non-ASCII (accents, CJK, emoji, control characters) must count as the
+# escaped ASCII that ``json.dumps`` writes.
+_labels = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12
+)
+
+
+@st.composite
+def window_rows(draw):
+    """Edge rows and node-only rows over a small id space (so nodes repeat)."""
+    rows = []
+    for row_id in range(draw(st.integers(min_value=0, max_value=25))):
+        node1 = draw(st.integers(min_value=0, max_value=15))
+        node_only = draw(st.booleans())
+        node2 = node1 if node_only else draw(
+            st.integers(min_value=0, max_value=15).filter(lambda n: n != node1)
+        )
+        start = Point(draw(_coords), draw(_coords))
+        end = start if node_only else Point(draw(_coords), draw(_coords))
+        segment = LineSegment(start, end, directed=draw(st.booleans()))
+        rows.append(EdgeRow(
+            row_id=row_id,
+            node1_id=node1,
+            node1_label=draw(_labels),
+            edge_geometry=encode_segment(segment),
+            edge_label="" if node_only else draw(_labels),
+            node2_id=node2,
+            node2_label=draw(_labels),
+        ))
+    return rows
+
+
+def _reference_chunk_json(chunk) -> str:
+    """A chunk encoded from its dictionaries, independently of the fragments."""
+    return json.dumps(
+        {
+            "chunk": chunk.index,
+            "total": chunk.total_chunks,
+            "nodes": list(chunk.nodes),
+            "edges": list(chunk.edges),
+        },
+        separators=(",", ":"),
+    )
+
+
+class TestExactStreamSize:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=window_rows(), chunk_size=st.integers(min_value=1, max_value=60))
+    def test_stream_bytes_counts_the_chunked_stream(self, rows, chunk_size):
+        cache: dict = {}
+        payloads = {
+            "plain": build_payload(rows),
+            "cached-cold": build_payload(rows, fragments=cache),
+            "cached-warm": build_payload(rows, fragments=cache),
+            "callable": build_payload(rows, fragments=row_fragments),
+        }
+        for name, payload in payloads.items():
+            chunks = list(stream_payload(payload, chunk_size))
+            assert len(chunks) == chunk_count(payload, chunk_size), name
+            for chunk in chunks:
+                assert chunk.to_json() == _reference_chunk_json(chunk), name
+                assert chunk.byte_size == len(chunk.to_json().encode()), name
+            assert stream_bytes(payload, chunk_size) == sum(
+                len(chunk.to_json().encode()) for chunk in chunks
+            ), name
+            assert payload_to_json(payload) == json.dumps(
+                payload.as_dict(), separators=(",", ":")
+            ), name
+
+    def test_chunks_straddling_the_node_edge_boundary(self, rows):
+        payload = build_payload(rows)  # 4 nodes, then 4 edges
+        for chunk_size in range(1, payload.num_objects + 3):
+            chunks = list(stream_payload(payload, chunk_size))
+            assert stream_bytes(payload, chunk_size) == sum(
+                len(_reference_chunk_json(chunk)) for chunk in chunks
+            )
+        mixed = list(stream_payload(payload, 3))[1]
+        assert len(mixed.nodes) == 1 and len(mixed.edges) == 2
+
+    def test_empty_payload_is_one_empty_chunk(self):
+        payload = build_payload([])
+        assert stream_bytes(payload, 5) == len(
+            '{"chunk":0,"total":1,"nodes":[],"edges":[]}'
+        )
+
+    def test_non_ascii_labels_count_escaped_bytes(self):
+        graph = Graph()
+        graph.add_node(1, label="Zoë – 東京 🚀")
+        payload = build_payload(rows_from_graph(graph, Layout({1: Point(1, 2)})))
+        wire = payload_to_json(payload)
+        assert wire.isascii() and "\\u" in wire
+        (chunk,) = stream_payload(payload, 10)
+        assert stream_bytes(payload, 10) == len(_reference_chunk_json(chunk).encode())

@@ -15,13 +15,15 @@ from repro.core.editing import GraphEditor
 from repro.core.monitoring import ServiceMetrics
 from repro.core.query_manager import QueryManager
 from repro.core.server import GraphVizDBServer
+from repro.core.streaming import stream_payload
+from repro.core.viewport import Viewport
 from repro.errors import ConfigurationError, QueryError, ServiceOverloadedError
 from repro.graph.generators import community_graph
 from repro.service.frontend import GraphVizDBService, ServiceRuntime
 from repro.service.http import serve_http
 from repro.service.maintenance import MaintenanceScheduler
 from repro.service.pool import DatasetPool
-from repro.spatial.geometry import Point
+from repro.spatial.geometry import Point, Rect
 from repro.storage.sqlite_backend import save_to_sqlite
 
 
@@ -388,6 +390,90 @@ class TestHttp:
         assert status == 200 and len(body["rows"]) == 2
         status, body = self._get(port, "/metrics")
         assert status == 200 and body["requests"]["admitted"] >= 4
+
+    def _get_raw(self, port, path):
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            return response.status, response.read()
+        finally:
+            connection.close()
+
+    @staticmethod
+    def _reference_window_body(answer_meta, payload, chunk_size, cursor=None):
+        """A payload answer rebuilt the way it was defined before sizes were
+        counted from fragments: every chunk and the payload re-encoded from
+        the node/edge dictionaries; timings copied from the answer."""
+        compact = (",", ":")
+        chunks = list(stream_payload(payload, chunk_size))
+        meta = {
+            "layer": answer_meta["layer"],
+            "num_objects": payload.num_objects,
+            "num_rows": answer_meta["num_rows"],
+            "num_chunks": len(chunks),
+            "total_bytes": sum(
+                len(json.dumps({
+                    "chunk": chunk.index, "total": chunk.total_chunks,
+                    "nodes": list(chunk.nodes), "edges": list(chunk.edges),
+                }, separators=compact).encode("utf-8"))
+                for chunk in chunks
+            ),
+        }
+        for key in ("db_query_seconds", "filter_seconds",
+                    "json_build_seconds", "server_seconds"):
+            meta[key] = answer_meta[key]
+        if cursor is not None:
+            meta["cursor"] = cursor
+        return (
+            b'{"meta": ' + json.dumps(meta).encode() + b', "payload": '
+            + json.dumps(payload.as_dict(), separators=compact).encode() + b"}"
+        )
+
+    def test_payload_answers_are_byte_identical_to_the_reference(
+        self, http_server, patent_result
+    ):
+        port = http_server
+        config = GraphVizDBConfig.small()
+        manager = QueryManager(patent_result.database, config.client)
+        chunk_size = config.client.chunk_size
+        for layer in (0, 1):
+            bounds = patent_result.database.bounds(layer)
+            cx, cy = bounds.center.x, bounds.center.y
+            for half in (bounds.width / 4, bounds.width):
+                window = Rect(cx - half, cy - half, cx + half, cy + half)
+                status, raw = self._get_raw(
+                    port,
+                    f"/window?dataset=patent&payload=1&layer={layer}"
+                    f"&min_x={window.min_x!r}&min_y={window.min_y!r}"
+                    f"&max_x={window.max_x!r}&max_y={window.max_y!r}",
+                )
+                assert status == 200
+                meta = json.loads(raw)["meta"]
+                assert meta["num_chunks"] > 1  # the chunk framing is counted
+                expected = manager.window_query(window, layer=layer).payload
+                assert raw == self._reference_window_body(meta, expected, chunk_size)
+
+            status, body = self._get(
+                port, f"/session/new?dataset=patent&layer={layer}&x={cx!r}&y={cy!r}"
+            )
+            assert status == 200
+            session_id = body["session_id"]
+            status, raw = self._get_raw(
+                port, f"/session/{session_id}/pan?dx=40&dy=-25&payload=1"
+            )
+            assert status == 200
+            meta = json.loads(raw)["meta"]
+            cursor = meta["cursor"]
+            assert cursor["layer"] == layer and meta["num_objects"] > 0
+            viewport = Viewport(
+                Point(cursor["x"], cursor["y"]), config.client.viewport_width,
+                config.client.viewport_height, cursor["zoom"],
+            )
+            expected = manager.window_query(viewport.window(), layer=layer).payload
+            assert raw == self._reference_window_body(
+                meta, expected, chunk_size, cursor=cursor
+            )
 
     def test_http_sessions(self, http_server):
         port = http_server
